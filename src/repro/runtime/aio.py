@@ -60,6 +60,7 @@ from typing import (
     Dict,
     List,
     Optional,
+    Set,
     Tuple as PyTuple,
     Union,
 )
@@ -96,6 +97,12 @@ DISCOVER_ACK = "da"    #: unicast discovery answer
 #: Frames coalesced into one datagram before the batch is force-flushed
 #: (keeps envelopes comfortably under the UDP payload ceiling).
 MAX_BATCH_FRAMES = 32
+
+
+def _wake(waiter: "asyncio.Future[None]") -> None:
+    """Resolve a parked operation's waiter unless it is already done."""
+    if not waiter.done():
+        waiter.set_result(None)
 
 
 def multicast_group_for(space: str) -> PyTuple[str, int]:
@@ -401,7 +408,8 @@ class AioTiamatNode:
         self._served_order: List[PyTuple[str, int]] = []
         self._send_queues: Dict[Addr, List[dict]] = {}
         self._flush_scheduled = False
-        self._local_event: Optional[asyncio.Event] = None
+        # Blocking operations parked until the next local deposit.
+        self._local_waiters: Set[asyncio.Future] = set()
         self.pool = BufferPool()
         # wire + op counters (cheap ints; the obs registry mirrors ops)
         self.frames_sent = 0
@@ -440,7 +448,6 @@ class AioTiamatNode:
     # ------------------------------------------------------------------
     async def _a_start(self, port: int) -> None:
         loop = asyncio.get_running_loop()
-        self._local_event = asyncio.Event()
         # Bind the socket ourselves and hand it to asyncio: the transport's
         # get_extra_info("socket") is a TransportSocket proxy that forbids
         # sendto, and the zero-copy send path needs the real one.
@@ -688,6 +695,10 @@ class AioTiamatNode:
                 self._pending.pop(req_id, None)
                 return None
             try:
+                # wait_for may return an answer that arrives in the tick a
+                # cancel() lands (CPython <= 3.11) instead of raising; that
+                # is wanted here: the answer can carry a tuple the peer has
+                # already taken, and dropping it would lose that tuple.
                 return await asyncio.wait_for(
                     fut, timeout=min(interval, remaining))
             except asyncio.TimeoutError:
@@ -740,9 +751,8 @@ class AioTiamatNode:
         self._ops_metric.labels(node=self.name, op=op, outcome=outcome).inc()
 
     def _notify_local(self) -> None:
-        event = self._local_event
-        if event is not None:
-            event.set()
+        for waiter in self._local_waiters:
+            _wake(waiter)
 
     async def a_out(self, tup: Tuple,
                     lease_duration: Optional[float] = None) -> None:
@@ -781,7 +791,6 @@ class AioTiamatNode:
         self.ops_started += 1
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        event = self._local_event
         req_ids: Dict[str, int] = {}
         while True:
             local = (self.space.inp(pattern) if remove
@@ -802,14 +811,20 @@ class AioTiamatNode:
                 self._count(op, "miss")
                 self.ops_unsatisfied += 1
                 return None
-            if event is not None:
-                event.clear()
-                try:
-                    await asyncio.wait_for(
-                        event.wait(),
-                        timeout=min(self.POLL_INTERVAL, remaining))
-                except asyncio.TimeoutError:
-                    pass
+            # Park on a bare future, not wait_for(event.wait()): on
+            # CPython <= 3.11 wait_for returns when a cancel() lands in the
+            # tick the wakeup fires, swallowing the cancel and leaving the
+            # operation polling.  A cancel() of a task whose waiter is
+            # already resolved still raises CancelledError at this await.
+            waiter = loop.create_future()
+            self._local_waiters.add(waiter)
+            timer = loop.call_later(min(self.POLL_INTERVAL, remaining),
+                                    _wake, waiter)
+            try:
+                await waiter
+            finally:
+                timer.cancel()
+                self._local_waiters.discard(waiter)
 
     async def a_rd(self, pattern: Pattern,
                    timeout: float = 5.0) -> Optional[Tuple]:

@@ -139,17 +139,24 @@ class ThreadSafeTupleSpace:
                     self._waiting -= 1
 
     def _find_live(self, pattern: Pattern):
-        """A live (unexpired) matching entry; reaps expired ones it meets."""
+        """A live (unexpired) matching entry; reaps expired ones it meets.
+
+        The expired entries are removed after the scan, so the scan can
+        iterate the store's live bucket instead of a copy of it.
+        """
         now = time.monotonic()
-        # snapshot=True: this loop removes expired entries mid-iteration.
-        for entry in self._store.candidates(pattern, snapshot=True):
+        found = None
+        expired = []
+        for entry in self._store.candidates(pattern):
             expires_at = entry.meta.get("expires_at")
             if expires_at is not None and now >= expires_at:
-                self._store.remove(entry.entry_id)
-                continue
-            if matches(pattern, entry.tuple):
-                return entry
-        return None
+                expired.append(entry.entry_id)
+            elif matches(pattern, entry.tuple):
+                found = entry
+                break
+        for entry_id in expired:
+            self._store.remove(entry_id)
+        return found
 
     def _reap(self) -> None:
         now = time.monotonic()

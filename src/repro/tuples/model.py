@@ -91,7 +91,12 @@ class Tuple:
 
     @property
     def signature(self) -> tuple:
-        """Per-field concrete type names; the index key for stores."""
+        """Per-field concrete type names.
+
+        The printable form of the key the tuple store indexes on: stores
+        bucket tuples by the field types themselves (see
+        :attr:`Pattern.signature`).
+        """
         return tuple(type(f).__name__ for f in self._fields)
 
     def __getitem__(self, index: int) -> FieldValue:
@@ -280,6 +285,9 @@ def _coerce_spec(spec: Any) -> Field:
     return Actual(spec)
 
 
+_UNSET = object()
+
+
 class Pattern:
     """An antituple: the template used to search a space.
 
@@ -290,13 +298,14 @@ class Pattern:
         Pattern("load", Range(0.0, 0.5))  # serializable predicate
     """
 
-    __slots__ = ("_specs", "_hash")
+    __slots__ = ("_specs", "_hash", "_signature")
 
     def __init__(self, *specs: Any) -> None:
         if not specs:
             raise MalformedPatternError("a pattern must have at least one field")
         self._specs = tuple(_coerce_spec(s) for s in specs)
         self._hash: Optional[int] = None
+        self._signature: Any = _UNSET
 
     @classmethod
     def of(cls, specs: Iterable[Any]) -> "Pattern":
@@ -318,17 +327,28 @@ class Pattern:
         """Number of fields the pattern constrains."""
         return len(self._specs)
 
-    def first_actual(self) -> Optional[tuple]:
-        """``(index, value)`` of the first actual field, or None.
+    @property
+    def signature(self) -> Optional[tuple]:
+        """The field types every matching tuple has, or None.
 
-        Stores use the first actual as a secondary index key, because
-        real workloads overwhelmingly tag tuples with a string in a fixed
-        position ("request", "result", ...).
+        Matching is exact-type, so a pattern made of actuals and scalar
+        formals admits tuples of one type signature only; the tuple store
+        keys its index on it.  None when a spec admits several types
+        (``ANY``, a :class:`Range`, ``Formal(Tuple)``).  Computed once.
         """
-        for i, spec in enumerate(self._specs):
-            if isinstance(spec, Actual):
-                return (i, spec.value)
-        return None
+        if self._signature is _UNSET:
+            types = []
+            for spec in self._specs:
+                if type(spec) is Actual:
+                    types.append(type(spec.value))
+                elif type(spec) is Formal and spec.type is not Tuple:
+                    types.append(spec.type)
+                else:
+                    self._signature = None
+                    break
+            else:
+                self._signature = tuple(types)
+        return self._signature
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Pattern) and other._specs == self._specs

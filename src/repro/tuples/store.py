@@ -4,9 +4,16 @@ The store is the passive data structure under every space implementation in
 the repository (Tiamat's local spaces and all five baselines).  It supports:
 
 * duplicate tuples (a multiset — two identical ``out``\\ s mean two tuples);
-* candidate lookup indexed by arity and, within an arity, by the value of
-  each actual field position of the query pattern (cheap and effective for
-  the tag-in-a-fixed-position workloads generative communication produces);
+* candidate lookup through a **signature index**.  Matching is exact-type,
+  so a pattern made only of actuals and scalar formals admits tuples of one
+  type signature (:attr:`Pattern.signature`).  Entries are bucketed by their
+  signature and, within it, by ``(position, value)`` of every field, so such
+  a query touches only its own ``(signature, position, value)`` bucket.
+  The signature already fixes each field's type, so a bucket key needs no
+  type tag to keep ``1``, ``1.0`` and ``True`` apart.  Patterns that pin no
+  signature (``ANY``, ``Range``, ``Formal(Tuple)``) scan the narrowest
+  buckets of every compatible signature of their arity, or the whole arity
+  bucket when that is smaller;
 * **two-phase removal**: a destructive match can be *held* (made invisible
   to other queries), then *confirmed* (removed for good) or *released*
   (made visible again).  Tiamat's distributed `in` needs this: a remote
@@ -27,14 +34,16 @@ registry via ``Observability.observe_space``.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from typing import Any, Iterator, Optional
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional
 
 from repro.check import probes
 from repro.errors import TupleError
 from repro.sim.rng import RngStream
 from repro.tuples.matching import matches
-from repro.tuples.model import Actual, Pattern, Tuple
+from repro.tuples.model import Actual, Field, Formal, Pattern, Range, Tuple
 
 
 class StoredEntry:
@@ -42,17 +51,24 @@ class StoredEntry:
 
     ``meta`` is an open dict for the layers above (lease expiry time, the
     identity of the depositing instance, and so on); the store itself never
-    interprets it.
+    interprets it.  The store that holds the entry sets ``signature``, the
+    tuple's field types (the key of its index bucket), and ``seq``, its
+    insertion rank, which keeps candidates merged from several buckets in
+    insertion order.
     """
 
-    __slots__ = ("entry_id", "tuple", "meta", "held", "removed")
+    __slots__ = ("entry_id", "tuple", "meta", "held", "removed",
+                 "signature", "seq")
 
-    def __init__(self, entry_id: int, tup: Tuple, meta: Optional[dict] = None) -> None:
+    def __init__(self, entry_id: int, tup: Tuple, meta: Optional[dict] = None,
+                 signature: Optional[tuple] = None, seq: int = 0) -> None:
         self.entry_id = entry_id
         self.tuple = tup
         self.meta = meta if meta is not None else {}
         self.held = False
         self.removed = False
+        self.signature = signature
+        self.seq = seq
 
     @property
     def visible(self) -> bool:
@@ -64,8 +80,46 @@ class StoredEntry:
         return f"<StoredEntry #{self.entry_id} {self.tuple!r} {flags}>"
 
 
+class _SignatureIndex:
+    """The entries of one type signature and their per-field buckets."""
+
+    __slots__ = ("signature", "entries", "by_value")
+
+    def __init__(self, signature: tuple) -> None:
+        self.signature = signature
+        # entry_id -> StoredEntry, insertion-ordered
+        self.entries: dict[int, StoredEntry] = {}
+        # (position, value) -> insertion-ordered entry_id -> StoredEntry
+        self.by_value: dict[tuple, dict[int, StoredEntry]] = {}
+
+    def narrowest(self, pattern: Pattern) -> dict[int, StoredEntry]:
+        """The smallest of this signature's bucket and the pattern's
+        ``(position, value)`` buckets (empty when one of them is)."""
+        best = self.entries
+        for pos, spec in enumerate(pattern.specs):
+            if type(spec) is Actual:
+                bucket = self.by_value.get((pos, spec.value))
+                if bucket is None:
+                    return {}
+                if len(bucket) < len(best):
+                    best = bucket
+        return best
+
+
+def _admits_type(spec: Field, kind: type) -> bool:
+    """Whether ``spec`` can admit some value of exact type ``kind``."""
+    if type(spec) is Actual:
+        return type(spec.value) is kind
+    if type(spec) is Formal:
+        return kind is spec.type or (spec.type is Tuple
+                                     and issubclass(kind, Tuple))
+    if type(spec) is Range:
+        return kind is not bool and issubclass(kind, (int, float))
+    return True
+
+
 class TupleStore:
-    """Arity-indexed multiset of tuples with hold/confirm/release removal."""
+    """Signature-indexed multiset of tuples with hold/confirm/release removal."""
 
     #: Cached distinct patterns per store before the scan cache is wiped.
     #: Mutation-heavy workloads invalidate constantly (every bump strands
@@ -82,10 +136,12 @@ class TupleStore:
         # GhostReadOracle exists to catch.  Read once at construction.
         self._canary_ghost = probes.canary(probes.CANARY_GHOST)
         self._entries: dict[int, StoredEntry] = {}
+        self._seqs = itertools.count()
         # arity -> insertion-ordered dict of entry_id -> StoredEntry
         self._by_arity: dict[int, dict[int, StoredEntry]] = {}
-        # (arity, position, value-key) -> dict of entry_id -> StoredEntry
-        self._by_actual: dict[tuple, dict[int, StoredEntry]] = {}
+        # field types -> that signature's entries and (position, value)
+        # buckets (see module docstring)
+        self._by_signature: dict[tuple, _SignatureIndex] = {}
         # Monotone version, bumped by every visibility-changing mutation;
         # the scan cache keys its entries to it (see module docstring).
         self._version = 0
@@ -127,12 +183,21 @@ class TupleStore:
             entry_id = next(self._ids)
         elif entry_id in self._entries:
             raise TupleError(f"entry id #{entry_id} already in store")
-        entry = StoredEntry(entry_id, tup, meta)
-        self._entries[entry.entry_id] = entry
-        self._by_arity.setdefault(tup.arity, {})[entry.entry_id] = entry
-        for pos, value in enumerate(tup.fields):
-            key = (tup.arity, pos, self._value_key(value))
-            self._by_actual.setdefault(key, {})[entry.entry_id] = entry
+        signature = tuple(map(type, tup.fields))
+        index = self._by_signature.get(signature)
+        if index is None:
+            index = self._by_signature[signature] = _SignatureIndex(signature)
+        entry = StoredEntry(entry_id, tup, meta, index.signature,
+                            next(self._seqs))
+        self._entries[entry_id] = entry
+        self._by_arity.setdefault(tup.arity, {})[entry_id] = entry
+        index.entries[entry_id] = entry
+        by_value = index.by_value
+        for key in enumerate(tup.fields):
+            bucket = by_value.get(key)
+            if bucket is None:
+                bucket = by_value[key] = {}
+            bucket[entry_id] = entry
         if probes.SINK is not None:
             probes.emit("store.add", store=id(self), entry=entry.entry_id)
         return entry
@@ -159,13 +224,15 @@ class TupleStore:
         entry.removed = True
         entry.held = False
         self._by_arity[entry.tuple.arity].pop(entry_id, None)
-        for pos, value in enumerate(entry.tuple.fields):
-            key = (entry.tuple.arity, pos, self._value_key(value))
-            bucket = self._by_actual.get(key)
+        index = self._by_signature[entry.signature]
+        index.entries.pop(entry_id, None)
+        by_value = index.by_value
+        for key in enumerate(entry.tuple.fields):
+            bucket = by_value.get(key)
             if bucket is not None:
                 bucket.pop(entry_id, None)
                 if not bucket:
-                    del self._by_actual[key]
+                    del by_value[key]
         if probes.SINK is not None:
             probes.emit("store.remove", store=id(self), entry=entry_id)
         return entry
@@ -201,26 +268,22 @@ class TupleStore:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def candidates(self, pattern: Pattern,
-                   snapshot: bool = False) -> Iterator[StoredEntry]:
-        """Visible entries that *may* match, via the cheapest index.
+    def candidates(self, pattern: Pattern) -> Iterator[StoredEntry]:
+        """Visible entries that *may* match, in insertion order.
 
-        Uses the smallest bucket among the pattern's actual-field indexes,
-        falling back to the arity bucket when the pattern is all formals.
+        A pattern with a :attr:`~Pattern.signature` reads one bucket of
+        that signature's index: the smallest of the signature's entries and
+        the ``(position, value)`` bucket of each of the pattern's actuals.
+        A pattern without one reads the narrowest such bucket of every
+        signature of its arity that its specs can admit, merged by
+        insertion rank, unless the arity bucket is smaller.  Either way
+        every match is a candidate and ``matches`` still decides.
 
         Iteration is **lazy** over the live index bucket — no per-scan
-        copy of a potentially huge bucket.  Callers that mutate the store
-        while iterating (removing expired entries, holding matches) must
-        pass ``snapshot=True``, which materialises the bucket first;
-        read-only consumers (``_scan`` and friends) pay nothing.
+        copy of a potentially huge bucket — so callers must not add or
+        remove entries until they have finished iterating.
         """
-        buckets = [self._by_arity.get(pattern.arity, {})]
-        for pos, spec in enumerate(pattern.specs):
-            if isinstance(spec, Actual):
-                key = (pattern.arity, pos, self._value_key(spec.value))
-                buckets.append(self._by_actual.get(key, {}))
-        smallest = min(buckets, key=len)
-        source = list(smallest.values()) if snapshot else smallest.values()
+        source = self._narrowest(pattern)
         if self._canary_ghost:
             # Planted bug: visibility (removed/held) is not filtered.
             yield from source
@@ -228,6 +291,29 @@ class TupleStore:
         for entry in source:
             if entry.visible:
                 yield entry
+
+    def _narrowest(self, pattern: Pattern) -> Iterable[StoredEntry]:
+        signature = pattern.signature
+        if signature is not None:
+            index = self._by_signature.get(signature)
+            return () if index is None else index.narrowest(pattern).values()
+        arity = pattern.arity
+        specs = pattern.specs
+        picks = []
+        total = 0
+        for sig, index in self._by_signature.items():
+            if (len(sig) == arity and index.entries
+                    and all(map(_admits_type, specs, sig))):
+                bucket = index.narrowest(pattern)
+                if bucket:
+                    picks.append(bucket.values())
+                    total += len(bucket)
+        everything = self._by_arity.get(arity, {})
+        if total >= len(everything):
+            return everything.values()
+        if len(picks) == 1:
+            return picks[0]
+        return heapq.merge(*picks, key=attrgetter("seq"))
 
     def find(self, pattern: Pattern, rng: Optional[RngStream] = None) -> Optional[StoredEntry]:
         """A visible entry matching ``pattern``, or None.
@@ -311,11 +397,6 @@ class TupleStore:
         return sum(encoded_size(e.tuple) for e in self._entries.values())
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _value_key(value: Any) -> Any:
-        """A hashable index key that respects exact-type equality."""
-        return (type(value).__name__, value)
-
     def _require(self, entry_id: int) -> StoredEntry:
         entry = self._entries.get(entry_id)
         if entry is None:

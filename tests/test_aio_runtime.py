@@ -6,6 +6,7 @@ test is the one exception — it skips when the kernel refuses group
 membership (common in minimal containers).
 """
 
+import asyncio
 import threading
 import time
 
@@ -90,6 +91,28 @@ def test_blocking_read_times_out_cleanly(cluster):
     assert a.rd(Pattern("never", int), timeout=0.3) is None
     assert time.monotonic() - start < 5.0
     assert a.ops_unsatisfied >= 1
+
+
+@pytest.mark.parametrize("op", ["a_in", "a_rd"])
+def test_blocking_op_honours_cancel_racing_a_local_wakeup(op):
+    """A cancel() that lands in the same tick as a local wakeup still
+    cancels the parked operation instead of leaving it polling."""
+    with AioNodeRegistry() as registry:
+        node = AioTiamatNode(registry, "solo")   # no peers: parks at once
+
+        async def scenario():
+            task = asyncio.ensure_future(
+                getattr(node, op)(Pattern("never", int), timeout=30.0))
+            await asyncio.sleep(0.05)
+            node._notify_local()
+            task.cancel()
+            done, _ = await asyncio.wait((task,), timeout=1.0)
+            if not done:
+                task.cancel()
+                await asyncio.wait((task,), timeout=1.0)
+            return bool(done) and task.cancelled()
+
+        assert registry.submit(scenario()).result(timeout=10.0)
 
 
 def test_eval_runs_worker_and_deposits(cluster):

@@ -102,6 +102,23 @@ def test_lease_expiry_wall_clock():
     assert space.count() == 0
 
 
+def test_lookup_reaps_expired_candidates_it_meets():
+    space = ThreadSafeTupleSpace()
+    for i in range(3):
+        space.out(Tuple("mortal", i), lease_duration=0.01)
+    space.out(Tuple("mortal", 99))
+    space.out(Tuple("mortal", 100), lease_duration=0.01)
+    wait_until(lambda: space.rdp(Pattern("mortal", 0)) is None,
+               what="lease expiry")
+    # The expired tuples ahead of the live match are reaped by the lookup
+    # that passes them; the one behind it is left for a later lookup.
+    assert space.rdp(Pattern("mortal", int)) == Tuple("mortal", 99)
+    assert len(space.store) == 2
+    assert space.inp(Pattern("mortal", int)) == Tuple("mortal", 99)
+    assert space.rdp(Pattern("mortal", int)) is None
+    assert len(space.store) == 0
+
+
 def test_snapshot_ordering():
     space = ThreadSafeTupleSpace()
     for i in range(3):

@@ -18,6 +18,10 @@ def test_tuple_fields_and_arity():
 
 def test_tuple_signature():
     assert Tuple("a", 1, 1.0, b"x", True).signature == ("str", "int", "float", "bytes", "bool")
+    # the printable form of the type signature an exact pattern pins
+    tup = Tuple("a", 1, 1.0, b"x", True)
+    assert tuple(t.__name__ for t in Pattern.for_tuple(tup).signature) \
+        == tup.signature
 
 
 def test_nested_tuple_allowed():
@@ -151,9 +155,13 @@ def test_pattern_for_tuple_is_fully_actual():
     assert all(isinstance(s, Actual) for s in p.specs)
 
 
-def test_pattern_first_actual():
-    assert Pattern(int, "tag", str).first_actual() == (1, "tag")
-    assert Pattern(int, str).first_actual() is None
+def test_pattern_signature():
+    assert Pattern(int, "tag", str).signature == (int, str, str)
+    assert Pattern(True, 1.0, b"x", Tuple("in")).signature == (
+        bool, float, bytes, Tuple)
+    # specs that admit more than one type pin no signature
+    for spec in (ANY, Range(0, 1), Formal(Tuple)):
+        assert Pattern("tag", spec).signature is None
 
 
 def test_pattern_equality_and_hash():
